@@ -357,6 +357,23 @@ def test_invoke_times_out_against_crashed_node_without_recovery():
     assert pool.free_count == baseline["free"]
 
 
+def test_invoke_reply_beats_the_deadline():
+    env, plat = make_platform()
+    client = plat.deploy(FunctionSpec("client", "t1", work_us=0), "worker0")
+    plat.deploy(FunctionSpec("server", "t1", work_us=0), "worker1")
+    plat.runtimes["worker0"].invoke_timeout_us = 50_000.0
+    plat.start()
+    replies = []
+
+    def body():
+        reply = yield from client.invoke("server", "ping", 64)
+        replies.append(reply.payload)
+
+    drive(env, body, warmup=40_000)
+    assert len(replies) == 1
+    assert client.invoke_timeouts == 0
+
+
 # ---------------------------------------------------------------------------
 # node crash: coordinator withdrawal + replica failover + restart
 # ---------------------------------------------------------------------------

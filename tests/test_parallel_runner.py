@@ -68,9 +68,11 @@ class TestByteIdentity:
     def test_ext_overload_serial_vs_parallel(self):
         kwargs = dict(configs=("palladium-dne",), multipliers=(0.8, 2.0),
                       duration_us=20_000.0, warmup_us=15_000.0)
-        serial = run_ext_overload(**kwargs)
+        serial, events = _count_events(run_ext_overload, **kwargs)
         fanned = run_ext_overload(jobs=4, **kwargs)
         assert to_json(serial) == to_json(fanned)
+        # Pinned like fig12 above: kernel rewrites must not move it.
+        assert events == 8_504
 
 
 @pytest.mark.parametrize("runs", [2])

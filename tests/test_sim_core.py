@@ -1,6 +1,8 @@
 """Tests for the discrete-event kernel (repro.sim.core)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
@@ -67,18 +69,60 @@ def test_events_fire_in_time_order():
     assert order == ["a", "b", "c"]
 
 
-def test_same_time_events_fifo():
-    env = Environment()
-    order = []
+def _workload(env, delays, log):
+    """Sleepers plus AnyOf races whose slow timeout is abandoned."""
 
-    def proc(tag):
-        yield env.timeout(5)
-        order.append(tag)
+    def sleeper(i, delay):
+        yield env.timeout(delay)
+        log.append((env.now, "sleep", i))
 
-    for tag in "abcd":
-        env.process(proc(tag))
-    env.run()
-    assert order == list("abcd")
+    def racer(i, fast, slow):
+        # The slow timeout loses the race and fires later with no
+        # consumer: the kernel-level shape of a guard the ack beat.
+        yield AnyOf(env, [env.timeout(fast), env.timeout(slow)])
+        log.append((env.now, "race", i))
+
+    for i, delay in enumerate(delays):
+        env.process(sleeper(i, delay), name=f"s{i}")
+        env.process(racer(i, delay, delay + 0.25), name=f"r{i}")
+
+
+def _run_stepwise(env):
+    """Drain ``env`` one ``step()`` at a time, asserting the clock never
+    goes backwards."""
+    while env.peek() != float("inf"):
+        before = env.now
+        env.step()
+        assert env.now >= before
+
+
+# Tie-heavy delay pool: repeated values make same-time FIFO ordering
+# carry most of the outcome.
+@given(st.lists(st.sampled_from([0.0, 1.0, 1.0, 7.5, 31.9, 32.0, 33.0,
+                                 64.0, 64.0, 97.1]),
+                min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_same_time_events_fifo(delays):
+    runs = []
+    for drain in (Environment.run, _run_stepwise):
+        env = Environment()
+        log = []
+        _workload(env, delays, log)
+        drain(env)
+        runs.append((log, env.events_processed, env.now))
+    (log, events, end), replay = runs
+    assert replay == runs[0]
+    assert [when for when, *_ in log] == sorted(when for when, *_ in log)
+    # Sleepers (and racers) sharing a delay log in creation order.
+    for kind in ("sleep", "race"):
+        for delay in set(delays):
+            same = [i for _, k, i in log if k == kind and delays[i] == delay]
+            assert same == sorted(same)
+    # Each sleeper is 3 events (start, timeout, exit) and each racer 5
+    # (start, two timeouts, AnyOf, exit): the abandoned slow timeouts
+    # are processed too, and they set the final clock.
+    assert events == 8 * len(delays)
+    assert end == max(delays) + 0.25
 
 
 def test_manual_event_succeed():
