@@ -151,6 +151,56 @@ class TestDeterminism:
         assert digest(a["telemetry"].tracer.to_chrome_json()) == \
             digest(b["telemetry"].tracer.to_chrome_json())
 
+    def test_exports_match_pinned_digests(self, pinned_ids):
+        """Every telemetry export equals the committed golden digests.
+
+        The digests were measured before the telemetry hot paths were
+        optimised; re-pin them only for an intended change to what the
+        stack records, never for a speed-up.
+        """
+        pinned = json.loads(
+            (GOLDEN / "telemetry_digests.json").read_text())
+        assert export_digests(pinned_ids) == pinned
+
+
+def _sha256(text: str) -> str:
+    import hashlib
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def export_digests(reset) -> dict:
+    """sha256 of every telemetry export of two small instrumented runs.
+
+    ``reset`` pins the process-global request-id counters before each
+    run (the ``pinned_ids`` fixture).
+    """
+    from repro.experiments.ext_overload import run_overload_point
+    from repro.telemetry import analyze
+
+    reset()
+    tel = run_boutique_point("palladium-dne", "Home Query", clients=4,
+                             duration_us=40_000.0,
+                             with_telemetry=True)["telemetry"]
+    reset()
+    monitor = run_overload_point("palladium-dne", 0.8, duration_us=40_000.0,
+                                 with_monitor=True)["telemetry"].monitor
+    return {
+        "boutique.prometheus_text": _sha256(tel.metrics.prometheus_text()),
+        "boutique.metrics_snapshot": _sha256(
+            _canonical(tel.metrics.snapshot())),
+        "boutique.chrome_json": _sha256(tel.tracer.to_chrome_json()),
+        "boutique.cycles_snapshot": _sha256(
+            _canonical(tel.cycles.snapshot())),
+        "boutique.critpath": _sha256(_canonical(analyze(tel.tracer).to_dict())),
+        "overload.monitor_snapshot": _sha256(_canonical(monitor.snapshot())),
+        "overload.monitor_timeline": _sha256(
+            _canonical(list(monitor.timeline))),
+    }
+
 
 class TestHistogram:
     def test_bucket_bounds_are_log_linear(self):
