@@ -103,6 +103,8 @@ class FunctionInstance:
         self.iolib = iolib
         self.cpu = iolib.cpu
         self.agent = f"fn:{spec.name}"
+        #: the cycle ledger's drill-down site for receive wake-ups
+        self.recv_site = f"recv:{spec.name}"
         self.inbox: Store = Store(env, name=f"inbox:{spec.name}")
         self._requests: Store = Store(env, name=f"reqs:{spec.name}")
         self._pending: Dict[int, Event] = {}
@@ -252,7 +254,7 @@ class FunctionInstance:
                     via = descriptor.message.via
                     category = "protocol" if via == "tcp" else "descriptor"
                     tel.cycles.charge(category, recv_us,
-                                      where=f"recv:{self.spec.name}")
+                                      where=self.recv_site)
                 yield from self.cpu.execute(recv_us)
                 header = descriptor.message
                 if header.is_response:

@@ -151,6 +151,8 @@ class IoLibrary:
         self.fn_id = fn_id
         self.tenant = tenant
         self.cpu = runtime.node.cpu
+        #: the cycle ledger's drill-down site for this library's charges
+        self.cycle_site = f"iolib:{runtime.node.name}"
         self.intra_sends = 0
         self.inter_sends = 0
         self.cross_domain_sends = 0
@@ -244,7 +246,7 @@ class IoLibrary:
                 span = self._send_span(tel, message, dst_fn, size, "skmsg")
                 tel.cycles.charge("descriptor",
                                   extra_cpu_us + self.cost.sk_msg_us,
-                                  where=f"iolib:{self.runtime.node.name}")
+                                  where=self.cycle_site)
                 tel.cycles.charge("protocol", self.runtime.sidecar_us,
                                   where="sidecar")
             descriptor = BufferDescriptor(buffer=buffer, length=size,
@@ -285,7 +287,7 @@ class IoLibrary:
                 span = self._send_span(tel, message, dst_fn, size, "engine")
                 tel.cycles.charge("descriptor",
                                   extra_cpu_us + engine.channel.fn_cpu_us,
-                                  where=f"iolib:{self.runtime.node.name}")
+                                  where=self.cycle_site)
                 tel.cycles.charge("protocol", self.runtime.sidecar_us,
                                   where="sidecar")
             descriptor = BufferDescriptor(buffer=buffer, length=size,
@@ -340,7 +342,7 @@ class IoLibrary:
                               where="xdomain-copy")
             tel.cycles.charge("descriptor",
                               extra_cpu_us + self.cost.sk_msg_us,
-                              where=f"iolib:{self.runtime.node.name}")
+                              where=self.cycle_site)
             tel.cycles.charge("protocol", self.runtime.sidecar_us,
                               where="sidecar")
         # The copy itself plus sidecar access control, on the host core.

@@ -228,7 +228,8 @@ class Rnic:
             tel.metrics.counter(
                 "rnic_ops_total", "Work requests completed by an RNIC.",
                 labels=("node", "opcode", "ok")).labels(
-                    self.node, wr.opcode, completion.ok).inc()
+                    self.node, wr.opcode,
+                    "True" if completion.ok else "False").inc()
             if span is not None:
                 tel.tracer.end_span(
                     span, status="ok" if completion.ok else "flushed")

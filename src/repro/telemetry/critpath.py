@@ -21,7 +21,8 @@ Pure post-processing: reads stored spans only, never the simulation.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .spans import Span, SpanTracer
 
@@ -171,60 +172,72 @@ class CriticalPathReport:
         }
 
 
-def _attribute(root: Span, members: List[Tuple[Span, int]],
+#: sort key of a heap entry below: its negated start
+_NEG_START = itemgetter(1)
+
+
+def _attribute(root: Span, first_child: Dict[int, Span],
+               next_sibling: Dict[int, Span],
+               stages: Dict[Tuple[str, str], str],
                out: Dict[str, float]) -> None:
     """Attribute [root.start, root.end) to stages by an event sweep.
 
-    ``members`` is the root's subtree as (span, depth) pairs.  Spans
-    are causality chains, not nested intervals — a child routinely
-    outlives its parent — so each elementary interval between span
-    boundaries is charged to the *deepest* span covering it (ties to
-    the later-started one).  Intervals covered only by the root charge
-    the root's own stage (queueing).
+    Walks the root's subtree of finished spans level by level and clips
+    each span to the root's window in the same pass.  Spans are
+    causality chains, not nested intervals — a child routinely outlives
+    its parent — so each elementary interval between span boundaries is
+    charged to the *deepest* span covering it (ties to the later-started
+    one, then to the later span id).  Intervals covered only by the
+    root charge the root's own stage (queueing).  ``stages`` memoizes
+    :func:`stage_of` per ``(name, category)``.
     """
     lo, hi = root.start_us, root.end_us
     if hi <= lo:
         return
-    clipped: List[Tuple[float, float, int, Span]] = []
+    # Heap entries (-depth, -start, -span_id, end, stage): the top,
+    # after popping expired entries, is the deepest span covering the
+    # current elementary interval.  The key is unique per span, so the
+    # top does not depend on the order entries were pushed in.
+    clipped: List[Tuple[int, float, int, float, str]] = []
     bounds = {lo, hi}
-    for span, depth in members:
-        cs, ce = max(span.start_us, lo), min(span.end_us, hi)
-        if ce <= cs:
-            continue
-        clipped.append((cs, ce, depth, span))
-        bounds.add(cs)
-        bounds.add(ce)
-    clipped.sort(key=lambda item: item[0])
+    level = [root]
+    neg_depth = 0
+    while level:
+        below: List[Span] = []
+        for span in level:
+            start, end = span.start_us, span.end_us
+            cs = lo if lo > start else start
+            ce = hi if hi < end else end
+            if cs < ce:
+                key = (span.name, span.category)
+                stage = stages.get(key)
+                if stage is None:
+                    stage = stages[key] = stage_of(span)
+                clipped.append((neg_depth, -cs, -span.span_id, ce, stage))
+                bounds.add(cs)
+                bounds.add(ce)
+            child = first_child.get(span.span_id)
+            while child is not None:
+                below.append(child)
+                child = next_sibling.get(child.span_id)
+        level = below
+        neg_depth -= 1
+    clipped.sort(key=_NEG_START, reverse=True)
     edges = sorted(bounds)
-    # Active-set sweep: a max-heap of (depth, start, span_id) with lazy
-    # expiry — the top after popping expired entries is the deepest
-    # span covering the current elementary interval.
-    heap: List[Tuple[float, float, float, float, str]] = []
-    nxt = 0
-    for t0, t1 in zip(edges, edges[1:]):
-        while nxt < len(clipped) and clipped[nxt][0] <= t0:
-            cs, ce, depth, span = clipped[nxt]
+    # The root's own entry spans the whole window, so it enters at the
+    # first edge and never expires: the heap is never empty below.
+    heap: List[Tuple[int, float, int, float, str]] = []
+    nxt, n = 0, len(clipped)
+    t0 = edges[0]
+    for t1 in edges[1:]:
+        while nxt < n and -clipped[nxt][1] <= t0:
+            heapq.heappush(heap, clipped[nxt])
             nxt += 1
-            heapq.heappush(heap,
-                           (-depth, -cs, -span.span_id, ce, stage_of(span)))
-        while heap and heap[0][3] <= t0:
+        while heap[0][3] <= t0:
             heapq.heappop(heap)
-        stage = heap[0][4] if heap else stage_of(root)
+        stage = heap[0][4]
         out[stage] = out.get(stage, 0.0) + (t1 - t0)
-
-
-def _subtree(root: Span,
-             children_of: Dict[int, List[Span]]) -> List[Tuple[Span, int]]:
-    """Finished spans reachable from ``root`` with their tree depth."""
-    members: List[Tuple[Span, int]] = []
-    stack: List[Tuple[Span, int]] = [(root, 0)]
-    while stack:
-        span, depth = stack.pop()
-        members.append((span, depth))
-        for child in children_of.get(span.span_id, ()):
-            if child.finished:
-                stack.append((child, depth + 1))
-    return members
+        t0 = t1
 
 
 def analyze(tracer: SpanTracer,
@@ -236,27 +249,38 @@ def analyze(tracer: SpanTracer,
     from any stored root and are simply not attributed; run reports on
     un-truncated tracers for exact accounting.
     """
-    children_of: Dict[int, List[Span]] = {}
+    # One pass finds the roots and links each finished span under its
+    # parent.  An unfinished span is never linked, so it and everything
+    # below it go unattributed.  The links are dict entries, not a list
+    # per parent, so the pass allocates no container per span.
+    roots: List[Span] = []
+    first_child: Dict[int, Span] = {}
+    next_sibling: Dict[int, Span] = {}
     for span in tracer.spans:
-        if span.parent_id is not None:
-            children_of.setdefault(span.parent_id, []).append(span)
-    for siblings in children_of.values():
-        siblings.sort(key=lambda s: (s.start_us, s.span_id))
+        parent_id = span.parent_id
+        if parent_id is None:
+            roots.append(span)
+        elif span.end_us is not None:
+            sibling = first_child.get(parent_id)
+            if sibling is not None:
+                next_sibling[span.span_id] = sibling
+            first_child[parent_id] = span
 
+    prefixes = tuple(root_prefixes)
+    stages: Dict[Tuple[str, str], str] = {}
     requests: List[Dict[str, Any]] = []
-    for root in tracer.roots():
-        if not root.finished:
+    for root in roots:
+        if root.end_us is None:
             continue
-        if root_prefixes and not any(root.name.startswith(p)
-                                     for p in root_prefixes):
+        if prefixes and not root.name.startswith(prefixes):
             continue
-        stages: Dict[str, float] = {}
-        _attribute(root, _subtree(root, children_of), stages)
+        attributed: Dict[str, float] = {}
+        _attribute(root, first_child, next_sibling, stages, attributed)
         requests.append({
             "trace_id": root.trace_id,
             "name": root.name,
             "total_us": root.duration_us,
-            "stages": stages,
+            "stages": attributed,
         })
     return CriticalPathReport(requests, label=label)
 

@@ -243,6 +243,7 @@ class MetricFamily:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
+        self.kind: str = factory.kind
         self._factory = factory
         self._factory_kwargs = factory_kwargs
         self._children: Dict[Tuple[str, ...], object] = {}
@@ -250,11 +251,20 @@ class MetricFamily:
         self._max_series = max_series
         self._overflow = None
 
-    @property
-    def kind(self) -> str:
-        return self._factory.kind
-
     def labels(self, *values) -> object:
+        """The child for one label-value tuple (created on first use).
+
+        Children are keyed by the ``str()`` of each value.  The raw
+        tuple is tried first: a hit means the values already are those
+        strings (``1 == "1"`` is False, so an int or bool never aliases
+        a str key), and a wrong label count can never hit.
+        """
+        try:
+            child = self._children.get(values)
+        except TypeError:  # an unhashable value: the str() path keys it
+            child = None
+        if child is not None:
+            return child
         if len(values) != len(self.labelnames):
             raise ValueError(
                 f"{self.name}: expected {len(self.labelnames)} label "

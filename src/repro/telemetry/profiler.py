@@ -50,20 +50,22 @@ class CycleLedger:
     def __init__(self, host_ghz: float = 3.7):
         self.host_ghz = host_ghz
         self._by_category: Dict[str, float] = {c: 0.0 for c in CYCLE_CATEGORIES}
-        #: (category, where) -> us, for drill-down
-        self._by_site: Dict[Tuple[str, str], float] = {}
+        #: category -> where -> us, for drill-down
+        self._by_site: Dict[str, Dict[str, float]] = {
+            c: {} for c in CYCLE_CATEGORIES}
 
     def charge(self, category: str, core_us: float, where: str = "") -> None:
         """Attribute ``core_us`` core-microseconds to ``category``."""
-        if category not in self._by_category:
+        try:
+            sites = self._by_site[category]
+        except KeyError:
             raise ValueError(f"unknown cycle category {category!r}; "
-                             f"expected one of {CYCLE_CATEGORIES}")
+                             f"expected one of {CYCLE_CATEGORIES}") from None
         if core_us <= 0.0:
             return
         self._by_category[category] += core_us
         if where:
-            key = (category, where)
-            self._by_site[key] = self._by_site.get(key, 0.0) + core_us
+            sites[where] = sites.get(where, 0.0) + core_us
 
     # -- queries -------------------------------------------------------------
     def us(self, category: str) -> float:
@@ -93,9 +95,8 @@ class CycleLedger:
 
     def sites(self, category: str) -> List[Tuple[str, float]]:
         """Charge sites of one category, heaviest first."""
-        rows = [(where, us) for (cat, where), us in self._by_site.items()
-                if cat == category]
-        return sorted(rows, key=lambda r: (-r[1], r[0]))
+        return sorted(self._by_site.get(category, {}).items(),
+                      key=lambda r: (-r[1], r[0]))
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -109,4 +110,4 @@ class CycleLedger:
         """Zero all counters (e.g. after warmup)."""
         for c in CYCLE_CATEGORIES:
             self._by_category[c] = 0.0
-        self._by_site.clear()
+            self._by_site[c].clear()

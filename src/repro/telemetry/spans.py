@@ -23,7 +23,7 @@ change simulation behaviour.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["Span", "SpanTracer", "validate_chrome_trace"]
 
@@ -51,7 +51,9 @@ class Span:
         self.end_us: Optional[float] = None
         self.status = "open"
         self.tags = tags
-        self.events: List[Dict[str, Any]] = []
+        #: annotations; a shared empty tuple until the first ``event()``
+        #: so an unannotated span allocates one tracked object, not two
+        self.events: Sequence[Dict[str, Any]] = ()
 
     @property
     def context(self) -> Context:
@@ -71,7 +73,10 @@ class Span:
         record = {"name": name, "ts": ts_us}
         if attrs:
             record.update(attrs)
-        self.events.append(record)
+        if isinstance(self.events, list):
+            self.events.append(record)
+        else:
+            self.events = [record]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r} trace={self.trace_id} id={self.span_id} "
@@ -110,31 +115,34 @@ class SpanTracer:
                    category: str = "", node: str = "", actor: str = "",
                    **tags) -> Span:
         """Open a span; ``parent`` is a Span, a meta context, or None."""
-        if isinstance(parent, Span):
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        elif parent is not None:
-            trace_id, parent_id = parent
-        else:
+        if parent is None:
             trace_id, parent_id = self._next_trace, None
-            self._next_trace += 1
-        span = Span(trace_id, self._next_span, parent_id, name, category,
+            self._next_trace = trace_id + 1
+        elif isinstance(parent, Span):
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        else:
+            trace_id, parent_id = parent
+        span_id = self._next_span
+        self._next_span = span_id + 1
+        span = Span(trace_id, span_id, parent_id, name, category,
                     node, actor, self.env.now, tags)
-        self._next_span += 1
-        if len(self.spans) < self.max_spans:
-            self.spans.append(span)
+        spans = self.spans
+        if len(spans) < self.max_spans:
+            spans.append(span)
             if parent_id is None:
-                self._open_roots[span.span_id] = span
+                self._open_roots[span_id] = span
         else:
             self.dropped += 1
         return span
 
     def end_span(self, span: Span, status: str = "ok") -> None:
         """Close a span (idempotent; keeps the first end time)."""
-        if span.finished:
+        if span.end_us is not None:
             return
         span.end_us = self.env.now
         span.status = status
-        self._open_roots.pop(span.span_id, None)
+        if span.parent_id is None:
+            self._open_roots.pop(span.span_id, None)
 
     def incident(self, kind: str, target: str, detail: Any = None) -> None:
         """Record a fault incident: global instant + events on all

@@ -4,10 +4,15 @@ sweep, report quantiles, and the dominant-stage shift.
 The synthetic tests build tiny span forests on a fake clock and check
 the attribution arithmetic exactly; the acceptance test runs a real
 instrumented boutique point and requires >= 90% of the p99 latency to
-land in *named* stages.
+land in *named* stages.  A differential property checks the single-walk
+analysis against the straightforward per-root reference it replaced.
 """
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import run_boutique_point
 from repro.telemetry import CriticalPathReport, SpanTracer, analyze, dominant_shift
@@ -198,11 +203,15 @@ class TestReport:
 
 class TestBoutiqueAcceptance:
     @pytest.fixture(scope="class")
-    def report(self):
+    def tracer(self):
         metrics = run_boutique_point(
             "palladium-dne", "Home Query", clients=4,
             duration_us=40_000.0, with_telemetry=True)
-        return analyze(metrics["telemetry"].tracer)
+        return metrics["telemetry"].tracer
+
+    @pytest.fixture(scope="class")
+    def report(self, tracer):
+        return analyze(tracer)
 
     def test_named_stages_cover_90pct_of_p99(self, report):
         assert len(report) > 50
@@ -213,6 +222,12 @@ class TestBoutiqueAcceptance:
             assert sum(req["stages"].values()) == pytest.approx(
                 req["total_us"], rel=1e-9)
 
+    def test_matches_the_reference_analysis(self, tracer, report):
+        want = _ref_analyze(tracer)
+        assert [r["stages"] for r in report.requests] == \
+            [r["stages"] for r in want.requests]
+        assert report.to_dict() == want.to_dict()
+
     def test_to_dict_is_json_safe_and_complete(self, report):
         import json
         d = json.loads(json.dumps(report.to_dict()))
@@ -221,3 +236,142 @@ class TestBoutiqueAcceptance:
         assert d["table"]
         stages = {row["stage"] for row in d["table"]}
         assert "fn.exec" in stages
+
+
+# -- differential reference: the two-pass analysis (subtree collection,
+# then clipping and the sweep) that the single-walk version replaced;
+# every stage float must match it bit for bit
+def _ref_attribute(root, members, out):
+    lo, hi = root.start_us, root.end_us
+    if hi <= lo:
+        return
+    clipped = []
+    bounds = {lo, hi}
+    for span, depth in members:
+        cs, ce = max(span.start_us, lo), min(span.end_us, hi)
+        if ce <= cs:
+            continue
+        clipped.append((cs, ce, depth, span))
+        bounds.add(cs)
+        bounds.add(ce)
+    clipped.sort(key=lambda item: item[0])
+    edges = sorted(bounds)
+    heap = []
+    nxt = 0
+    for t0, t1 in zip(edges, edges[1:]):
+        while nxt < len(clipped) and clipped[nxt][0] <= t0:
+            cs, ce, depth, span = clipped[nxt]
+            nxt += 1
+            heapq.heappush(heap,
+                           (-depth, -cs, -span.span_id, ce, stage_of(span)))
+        while heap and heap[0][3] <= t0:
+            heapq.heappop(heap)
+        stage = heap[0][4] if heap else stage_of(root)
+        out[stage] = out.get(stage, 0.0) + (t1 - t0)
+
+
+def _ref_subtree(root, children_of):
+    members = []
+    stack = [(root, 0)]
+    while stack:
+        span, depth = stack.pop()
+        members.append((span, depth))
+        for child in children_of.get(span.span_id, ()):
+            if child.finished:
+                stack.append((child, depth + 1))
+    return members
+
+
+def _ref_analyze(tracer, root_prefixes=("request:", "invoke:"), label=""):
+    children_of = {}
+    for span in tracer.spans:
+        if span.parent_id is not None:
+            children_of.setdefault(span.parent_id, []).append(span)
+    for siblings in children_of.values():
+        siblings.sort(key=lambda s: (s.start_us, s.span_id))
+    requests = []
+    for root in tracer.roots():
+        if not root.finished:
+            continue
+        if root_prefixes and not any(root.name.startswith(p)
+                                     for p in root_prefixes):
+            continue
+        stages = {}
+        _ref_attribute(root, _ref_subtree(root, children_of), stages)
+        requests.append({
+            "trace_id": root.trace_id,
+            "name": root.name,
+            "total_us": root.duration_us,
+            "stages": stages,
+        })
+    return CriticalPathReport(requests, label=label)
+
+
+#: root names that match the default prefixes, a custom one, or none
+_NAMES = ["request:/a", "invoke:cart", "migrate", "gc.sweep", "engine.tx",
+          "engine.rx", "rdma.send", "fn.exec:f", "iolib.send", "weird"]
+_CATEGORIES = ["", "rdma", "function", "engine", "custom"]
+#: small grids so equal start times and zero-length spans are common;
+#: the negative offset starts a child before its parent, so clipping
+#: bites at both ends of the root's window
+_OFFSETS = [0.0, 0.0, 0.5, 1.0, 2.5, 7.0, -1.0]
+#: None leaves the span unfinished
+_DURATIONS = [0.0, 0.5, 1.0, 3.0, 12.0, 40.0, None]
+
+
+@st.composite
+def span_forests(draw):
+    """A list of span specs: (parent index or None, name, category,
+    start offset from the parent, duration or None when unfinished)."""
+    n = draw(st.integers(1, 24))
+    specs = []
+    for i in range(n):
+        # -1 (a new root) is one choice among i + 1: forests stay deep
+        parent = draw(st.integers(-1, i - 1))
+        specs.append((
+            parent if parent >= 0 else None,
+            draw(st.sampled_from(_NAMES)),
+            draw(st.sampled_from(_CATEGORIES)),
+            draw(st.sampled_from(_OFFSETS)),
+            draw(st.sampled_from(_DURATIONS)),
+        ))
+    max_spans = draw(st.one_of(st.just(250_000), st.integers(1, n)))
+    return specs, max_spans
+
+
+def _build(specs, max_spans):
+    """Replay specs on a fake clock: every span starts in spec order
+    and each finished one ends afterwards in end-time order."""
+    clock = FakeClock()
+    tracer = SpanTracer(clock, max_spans=max_spans)
+    opened = []
+    starts = []
+    for parent, name, category, offset, _ in specs:
+        start = (starts[parent] if parent is not None else 0.0) + offset
+        clock.now = start
+        starts.append(start)
+        opened.append(tracer.start_span(
+            name, parent=opened[parent] if parent is not None else None,
+            category=category))
+    ends = sorted((starts[i] + spec[4], i) for i, spec in enumerate(specs)
+                  if spec[4] is not None)
+    for end, i in ends:
+        clock.now = end
+        tracer.end_span(opened[i])
+    return tracer
+
+
+class TestDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(forest=span_forests(),
+           prefixes=st.sampled_from([("request:", "invoke:"), ("migrate",),
+                                     ()]))
+    def test_matches_the_reference_analysis(self, forest, prefixes):
+        tracer = _build(*forest)
+        got = analyze(tracer, root_prefixes=prefixes)
+        want = _ref_analyze(tracer, root_prefixes=prefixes)
+        assert len(got.requests) == len(want.requests)
+        for mine, ref in zip(got.requests, want.requests):
+            assert mine["trace_id"] == ref["trace_id"]
+            assert mine["stages"] == ref["stages"]
+        assert got.to_dict() == want.to_dict()

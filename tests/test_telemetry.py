@@ -384,6 +384,63 @@ class TestCardinalityGuard:
         assert c.value("a") == 2.0
 
 
+class TestLabelFastPath:
+    """``labels`` tries the raw value tuple before ``str()``-keying it;
+    neither path may alias two series or skip a check."""
+
+    def test_raw_values_share_the_str_keyed_child(self):
+        c = MetricsRegistry().counter("x_total", labels=("n",))
+        assert c.labels(1) is c.labels("1")
+        assert c.labels(True) is c.labels("True")
+        assert c.labels("1") is c.labels(1)
+
+    def test_bool_and_int_stay_distinct_series(self):
+        c = MetricsRegistry().counter("x_total", labels=("n",))
+        assert c.labels(True) is not c.labels(1)
+        assert c.labels(False) is not c.labels(0)
+        assert sorted(key for key, _ in c.children()) == [
+            ("0",), ("1",), ("False",), ("True",)]
+
+    def test_wrong_arity_raises_after_the_child_exists(self):
+        c = MetricsRegistry().counter("x_total", labels=("a", "b"))
+        c.labels("p", "q").inc()
+        for values in [("p",), ("p", "q", "r"), ()]:
+            with pytest.raises(ValueError):
+                c.labels(*values)
+        unlabeled = MetricsRegistry().counter("y_total")
+        unlabeled.inc()
+        with pytest.raises(ValueError):
+            unlabeled.labels("p")
+
+    def test_unhashable_values_take_the_str_path(self):
+        c = MetricsRegistry().counter("x_total", labels=("n",))
+        assert c.labels([1]) is c.labels("[1]")
+
+    def test_overflow_still_counts_every_dropped_lookup(self):
+        reg = MetricsRegistry(max_series_per_family=1)
+        c = reg.counter("req_total", labels=("tenant",))
+        c.labels("a").inc()
+        for _ in range(3):
+            c.labels("b").inc()
+        c.labels(7).inc()
+        dropped = reg.get(MetricsRegistry.DROPPED_SERIES)
+        assert dropped.value("req_total") == 4.0
+        assert [key for key, _ in c.children()] == [("a",)]
+
+    def test_observer_fires_once_per_family_lookup(self):
+        reg = MetricsRegistry()
+        calls = []
+        reg.observer = lambda: calls.append(1)
+        lookups = [
+            lambda: reg.counter("c_total", labels=("n",)),
+            lambda: reg.gauge("g", labels=("n",)),
+            lambda: reg.histogram("h_us", labels=("n",)),
+        ]
+        for expected, lookup in enumerate(lookups * 2, start=1):
+            lookup().labels("x")
+            assert len(calls) == expected
+
+
 def _golden_registry() -> MetricsRegistry:
     """A small hand-built registry with stable, exporter-covering state."""
     reg = MetricsRegistry()

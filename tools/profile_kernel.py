@@ -20,6 +20,7 @@ Usage::
 
     PYTHONPATH=src python tools/profile_kernel.py fig12
     PYTHONPATH=src python tools/profile_kernel.py fig16 --top 40
+    PYTHONPATH=src python tools/profile_kernel.py fig16-tel
     PYTHONPATH=src python tools/profile_kernel.py ovl --sort cumtime
     PYTHONPATH=src python tools/profile_kernel.py \
         -m repro.experiments:run_fig12
@@ -34,11 +35,18 @@ import pstats
 import sys
 from collections import defaultdict
 
-#: the reference mixes (mirrors benchmarks/test_bench_host_perf.py)
+#: the reference mixes (mirrors benchmarks/test_bench_host_perf.py);
+#: ``fig16-tel`` is the fig16 point with Telemetry installed, so the
+#: rollup's ``telemetry`` row and the growth of the other rows against
+#: ``fig16`` price the instrumentation's on-cost
 WORKLOADS = {
     "fig16": ("repro.experiments", "run_boutique_point",
               ("palladium-dne", "Home Query"),
               {"clients": 8, "duration_us": 120_000.0}),
+    "fig16-tel": ("repro.experiments", "run_boutique_point",
+                  ("palladium-dne", "Home Query"),
+                  {"clients": 8, "duration_us": 120_000.0,
+                   "with_telemetry": True}),
     "fig12": ("repro.experiments", "run_fig12", (),
               {"sizes": (256, 4096), "concurrency": 4,
                "duration_us": 20_000.0}),
