@@ -5,11 +5,12 @@ model code in the loop, so kernel regressions are visible before they
 wash out in the end-to-end workload bench:
 
 * ``event_churn``      — sync resume of already-completed events
-                         (the pooled ``completed_event`` fast path)
+                         (the ``completed_event`` fast path)
 * ``timeout_storm``    — many concurrent timers through the heap
-                         (Timeout free-list + flattened run loop)
+                         (``Timeout`` push + flattened run loop)
 * ``process_ping_pong``— two processes alternating over Stores
-                         (``_GetEvent`` pooling + store fast paths)
+                         (store fast paths: a ready ``get`` resumes
+                         its process synchronously)
 * ``condition_fanin``  — AllOf/AnyOf fan-in over timeout batches
 * ``cqe_storm``        — bursty CQE production against a batched
                          ``poll_batch`` consumer (one wakeup per

@@ -22,33 +22,21 @@ Determinism: events scheduled for the same instant fire in FIFO order
 of scheduling (ties are broken by a monotonically increasing sequence
 number), so repeated runs with the same seed produce identical traces.
 
-Fast path (see docs/PERFORMANCE.md): the :meth:`Environment.run` loop
-pops ready-queue entries — plain ``(time, priority, eid, event)``
-tuples — and runs callbacks inline rather than paying a ``step()`` +
-``_run_callbacks()`` call per event; trigger sites push through the
-environment's bound ``_push`` (a :func:`heapq.heappush` partial).
-Steady-state event churn recycles :class:`Timeout`, completed-event,
-and :meth:`Environment.defer` objects through per-class free lists, so
-the hot path does no allocation beyond the queue tuple itself.
-Recycling is guarded by ``sys.getrefcount``: an event is only returned
-to a pool when the kernel provably holds the sole remaining reference,
-so user code that retains an event (for ``.value``, ``AnyOf``
-membership, a later ``release()``) always keeps a private object.
-None of this changes scheduling order: ``eid`` assignment and queue
-ordering are identical to the reference kernel, so event counts and
-traces are byte-for-byte reproducible.
-
-Ready queue: each :class:`Environment` owns one flat binary heap
-(:mod:`heapq`) of those tuples, ordered by ``(time, priority, eid)``.
-``run()`` drains it with one of two loops chosen by its ``until``
-argument: ``_run_heap`` for a time bound (or none) and
-``_run_heap_event`` for an event bound, which also checks after each
-dispatch whether the stop event has fired.
+Fast path (see docs/PERFORMANCE.md): the ready queue is one flat
+binary heap (:mod:`heapq`) of plain ``(time, priority, eid, event)``
+tuples, ordered by ``(time, priority, eid)``; trigger sites push
+through the environment's bound ``_push`` (a :func:`heapq.heappush`
+partial).  :meth:`Environment.run` drains it in a single inlined loop
+that pops an entry and runs its callbacks directly rather than paying
+a ``step()`` + ``_run_callbacks()`` call per event.  A time bound
+stops the loop before the first later entry; an event bound is
+checked after each dispatch.  Every event has one lifecycle: it is
+allocated when created or scheduled, fires once, and is freed by
+reference counting like any other Python object.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -69,15 +57,6 @@ PRIORITY_NORMAL = 1
 #: Urgent priority, used internally so a process resumption scheduled by
 #: an event trigger happens before same-time normal events.
 PRIORITY_URGENT = 0
-
-#: Free-listed events kept per class; bounds pool memory, not churn.
-_POOL_CAP = 512
-
-try:
-    _getrefcount = sys.getrefcount
-except AttributeError:  # pragma: no cover - non-CPython: pooling off
-    def _getrefcount(_obj: Any) -> int:
-        return 1 << 30
 
 
 class SimulationError(Exception):
@@ -106,10 +85,6 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_processed", "defused")
-
-    #: classes whose instances may be returned to a free list once the
-    #: kernel holds the only reference (class attribute, no slot)
-    _poolable = False
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -198,8 +173,6 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    _poolable = True
-
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -216,24 +189,33 @@ class Timeout(Event):
 
 
 class _Deferred(Event):
-    """Internal: a pooled fire-and-forget callback (``Environment.defer``).
+    """Internal: a fire-and-forget callback (``Environment.defer``).
 
-    Never escapes the kernel — ``defer()`` returns ``None`` — so it is
-    recycled unconditionally after its callback slot runs.  It is
+    Never escapes the kernel (``defer()`` returns ``None``).  It is
     scheduled with ``callbacks = None``; the run loop dispatches such
-    heap entries through :meth:`_run_callbacks`.
+    heap entries through :meth:`_run_callbacks`, which calls the
+    callback held in a dedicated slot (no closure, no callbacks list).
     """
 
     __slots__ = ("fn",)
 
+    def __init__(self, env: "Environment", delay: float, fn: Callable[[], None]):
+        if delay < 0:
+            raise ValueError(f"negative defer delay: {delay}")
+        self.env = env
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self.defused = False
+        self.fn = fn
+        env._eid += 1
+        env._push((env._now + delay, PRIORITY_NORMAL, env._eid, self))
+
     def _run_callbacks(self) -> None:
         self._processed = True
-        fn, self.fn = self.fn, None
-        fn()
-        pool = self.env._defer_pool
-        if len(pool) < _POOL_CAP:
-            self._processed = False
-            pool.append(self)
+        self.fn()
 
 
 class Initialize(Event):
@@ -309,27 +291,10 @@ class Process(Event):
         env._active_process = self
         generator = self._generator
         send = generator.send
-        refs = _getrefcount
         while True:
             try:
                 if event._ok:
-                    value = event._value
-                    # The outcome is extracted; if the kernel holds the
-                    # only reference left, the event can be reused
-                    # (inlined _recycle: sync-delivered events are
-                    # completed-pool classes, never Timeout).
-                    if event._poolable and refs(event) == 2:
-                        event._value = None
-                        event.defused = False
-                        cls = event.__class__
-                        pools = env._completed_pools
-                        pool = pools.get(cls)
-                        if pool is None:
-                            pool = pools[cls] = []
-                        if len(pool) < _POOL_CAP:
-                            pool.append(event)
-                    event = None
-                    next_event = send(value)
+                    next_event = send(event._value)
                 else:
                     # The exception is being delivered; mark it handled.
                     event.defused = True
@@ -374,7 +339,6 @@ class Process(Event):
                 break
             # Already processed: loop and deliver its outcome synchronously.
             event = next_event
-            next_event = None
 
         env._active_process = None
 
@@ -493,12 +457,6 @@ class Environment:
         #: None (the default) means every site is a single attribute
         #: read — telemetry is strictly opt-in and purely passive.
         self.telemetry: Optional[Any] = None
-        # -- free lists (see module docstring) -----------------------------
-        self._timeout_pool: List[Timeout] = []
-        self._defer_pool: List[_Deferred] = []
-        #: class -> free list for completed-event fast paths (_GetEvent
-        #: and friends register here via ``completed_event``/recycling)
-        self._completed_pools: dict = {}
 
     @property
     def now(self) -> float:
@@ -522,11 +480,6 @@ class Environment:
         through the event heap; never yielding it costs nothing.  Used
         by resources/stores for immediately-satisfiable operations.
         """
-        pool = self._completed_pools.get(cls)
-        if pool:
-            event = pool.pop()
-            event._value = value
-            return event
         event = cls.__new__(cls)
         event.env = self
         event.callbacks = None
@@ -537,62 +490,18 @@ class Environment:
         event.defused = False
         return event
 
-    def _recycle(self, event: Event) -> None:
-        """Return a processed, successful, kernel-exclusive event to
-        its free list (callers guarantee those invariants)."""
-        event._value = None
-        event.defused = False
-        cls = event.__class__
-        if cls is Timeout:
-            pool = self._timeout_pool
-        else:
-            pool = self._completed_pools.get(cls)
-            if pool is None:
-                pool = self._completed_pools[cls] = []
-        if len(pool) < _POOL_CAP:
-            pool.append(event)
-
     def defer(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` without spawning a process.
 
         A lightweight alternative to ``process()`` for fire-and-forget
-        delayed actions (message deliveries, notifications).  The
-        callback rides in a dedicated slot of a pooled kernel event —
-        no closure, and steady-state no allocation.
+        delayed actions (message deliveries, notifications): the
+        callback rides in a dedicated slot of a kernel event, with no
+        closure and no generator.
         """
-        pool = self._defer_pool
-        if pool:
-            event = pool.pop()
-        else:
-            event = _Deferred.__new__(_Deferred)
-            event.env = self
-            event.callbacks = None
-            event._value = None
-            event._ok = True
-            event._triggered = True
-            event._processed = False
-            event.defused = False
-        event.fn = fn
-        self._eid += 1
-        self._push((self._now + delay, PRIORITY_NORMAL, self._eid, event))
+        _Deferred(self, delay, fn)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` time units."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
-            event = pool.pop()
-            # Recycled timeouts are invariantly ok/triggered/defused=False
-            # with _value None; only reset what recycling didn't.
-            event.callbacks = []
-            event._processed = False
-            event.delay = delay
-            if value is not None:
-                event._value = value
-            self._eid += 1
-            self._push((self._now + delay, PRIORITY_NORMAL, self._eid, event))
-            return event
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -647,10 +556,7 @@ class Environment:
             if stop_time < self._now:
                 raise ValueError(f"until ({stop_time}) is in the past (now={self._now})")
 
-        if stop_event is not None:
-            self._run_heap_event(stop_event, stop_time)
-        else:
-            self._run_heap(stop_time)
+        self._run_heap(stop_time, stop_event)
 
         if stop_event is not None:
             if not stop_event._processed:
@@ -664,58 +570,13 @@ class Environment:
             self._now = stop_time
         return None
 
-    def _run_heap(self, stop_time: float) -> None:
+    def _run_heap(self, stop_time: float, stop_event: Optional[Event]) -> None:
         # Tight inlined loop: one heap pop + direct callback dispatch
         # per event (the ``step()`` API remains for single-stepping).
         # Almost every fired event has exactly one callback (a process
         # resume), so that case skips the loop machinery entirely.
         queue = self._queue
         pop = heappop
-        refs = _getrefcount
-        timeout_pool = self._timeout_pool
-        processed = 0
-        bounded = stop_time != float("inf")
-        try:
-            while queue:
-                if bounded and queue[0][0] > stop_time:
-                    break
-                when, _priority, _eid, event = pop(queue)
-                self._now = when
-                processed += 1
-                cbs = event.callbacks
-                if cbs is not None:
-                    event.callbacks = None
-                    event._processed = True
-                    if len(cbs) == 1:
-                        cbs[0](event)
-                    else:
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok:
-                        if not event.defused:
-                            raise event._value
-                    elif event._poolable and refs(event) == 2:
-                        # Inlined _recycle: heap-fired poolable
-                        # events are overwhelmingly Timeouts.
-                        if event.__class__ is Timeout:
-                            if len(timeout_pool) < _POOL_CAP:
-                                event._value = None
-                                event.defused = False
-                                timeout_pool.append(event)
-                        else:
-                            self._recycle(event)
-                else:
-                    # Only _Deferred entries are scheduled without a
-                    # callbacks list; dispatch via their override.
-                    event._run_callbacks()
-        finally:
-            self.events_processed += processed
-
-    def _run_heap_event(self, stop_event: Event, stop_time: float) -> None:
-        queue = self._queue
-        pop = heappop
-        refs = _getrefcount
-        timeout_pool = self._timeout_pool
         processed = 0
         try:
             while queue:
@@ -733,20 +594,13 @@ class Environment:
                     else:
                         for callback in cbs:
                             callback(event)
-                    if not event._ok:
-                        if not event.defused:
-                            raise event._value
-                    elif event._poolable and refs(event) == 2:
-                        if event.__class__ is Timeout:
-                            if len(timeout_pool) < _POOL_CAP:
-                                event._value = None
-                                event.defused = False
-                                timeout_pool.append(event)
-                        else:
-                            self._recycle(event)
+                    if not event._ok and not event.defused:
+                        raise event._value
                 else:
+                    # Only _Deferred entries are scheduled without a
+                    # callbacks list; dispatch via their override.
                     event._run_callbacks()
-                if stop_event._processed:
+                if stop_event is not None and stop_event._processed:
                     return
         finally:
             self.events_processed += processed

@@ -9,9 +9,9 @@ declarative.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["TimeSeries", "LatencyStats", "RateMeter", "UtilizationTracker", "summarize"]
+__all__ = ["TimeSeries", "LatencyStats", "RateMeter", "UtilizationTracker"]
 
 
 class TimeSeries:
@@ -196,13 +196,3 @@ class UtilizationTracker:
             return 0.0
         return min(1.0, self.useful / elapsed)
 
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """Small helper returning mean/min/max of a sequence."""
-    if not values:
-        return {"mean": 0.0, "min": 0.0, "max": 0.0}
-    return {
-        "mean": sum(values) / len(values),
-        "min": min(values),
-        "max": max(values),
-    }

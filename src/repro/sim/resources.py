@@ -13,18 +13,18 @@ Provides SimPy-style resources used throughout the reproduction:
 
 Hot-path notes (docs/PERFORMANCE.md): stores keep their items and
 waiter lists in :class:`collections.deque` so the FIFO pop is O(1);
-immediately-satisfiable ``get``\\ s reuse pooled ``_GetEvent`` objects
-via :meth:`Environment.completed_event`; ``Resource.request`` builds
+immediately-satisfiable ``get``\\ s return an already-processed
+``_GetEvent`` from :meth:`Environment.completed_event`, so the getter
+resumes synchronously without a heap trip; ``Resource.request`` builds
 the grant without an ``__init__`` chain and only sorts its wait queue
 when a priority actually arrives out of order.
 
-Batched draining: :meth:`Store.drain_ready` (non-blocking, returns a
-list) and :meth:`Store.poll_batch` (blocking, fires with a non-empty
-list) let one consumer wakeup take every ready item — a polling loop
-built on them costs one generator round-trip per *burst* instead of
-one per item.  Batch getters always take items in FIFO arrival order;
-on :class:`FilterStore` they bypass predicates (a CQ drain wants every
-completion, not a matching one).
+Batched draining: :meth:`Store.poll_batch` (blocking, fires with a
+non-empty list) lets one consumer wakeup take every ready item — a
+polling loop built on it costs one generator round-trip per *burst*
+instead of one per item.  Batch getters always take items in FIFO
+arrival order; on :class:`FilterStore` they bypass predicates (a CQ
+drain wants every completion, not a matching one).
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ class _GetEvent(Event):
 
     __slots__ = ("predicate",)
 
-    #: fast-path gets are kernel-recycled once their value is delivered
-    _poolable = True
     #: batch getters are dispatched with a list of items, not one item
     _batch = False
 
@@ -279,25 +277,6 @@ class Store:
         if items:
             self._dispatch()
         return event
-
-    def drain_ready(self, limit: Optional[int] = None) -> List[Any]:
-        """Non-blocking batch get: pop every ready item, FIFO order.
-
-        Returns up to ``limit`` items (all of them when ``None``), or
-        an empty list when the store is empty or other getters are
-        already waiting (they have FIFO priority over an opportunistic
-        drain).  One call replaces a whole chain of ``try_get`` calls.
-        """
-        items = self.items
-        if not items or self._getters:
-            return []
-        n = len(items) if limit is None else min(limit, len(items))
-        popleft = items.popleft
-        batch = [popleft() for _ in range(n)]
-        self.get_count += n
-        if self._putters:
-            self._admit_putters()
-        return batch
 
     def poll_batch(self, limit: Optional[int] = None) -> Event:
         """Blocking batch get: fires with the list of all ready items.

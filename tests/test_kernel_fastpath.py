@@ -1,18 +1,17 @@
-"""Fast-path kernel tests: free-list recycling and steady-state
-zero-allocation guarantees (docs/PERFORMANCE.md).
+"""Fast-path kernel tests: event values and retained memory.
 
-The scheduling hot path promises that steady-state churn — timeouts,
-immediately-completed events, ``defer`` callbacks, store ping-pong —
-reuses pooled objects instead of allocating.  These tests pin that
-down two ways: object-identity reuse (the same ``Timeout`` instance
-comes back from the free-list) and a tracemalloc diff over the sim
-modules that must stay flat once the pools are warm.
+Every kernel event is allocated when it is created and freed by
+reference counting once nothing holds it.  These tests pin down two
+consequences: each event keeps its own value, whether or not user
+code holds on to it, and steady-state churn (timeouts,
+immediately-completed events, ``defer`` callbacks, store ping-pong)
+retains no memory in the sim modules after a collection.
 """
 
 import gc
 import tracemalloc
 
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Store
 from repro.sim import core as sim_core
 from repro.sim import resources as sim_resources
 
@@ -27,7 +26,7 @@ def _sim_growth(snap_before, snap_after) -> int:
 
 
 def _steady_state_workload(env: Environment, rounds: int):
-    """One process exercising every pooled shape."""
+    """One process exercising every fast-path event shape."""
     store = Store(env, name="ss")
 
     def proc():
@@ -42,59 +41,13 @@ def _steady_state_workload(env: Environment, rounds: int):
 
 
 class TestObjectReuse:
-    def test_timeout_free_list_reuses_instances(self):
-        env = Environment()
-        seen = set()
-
-        def proc():
-            for _ in range(64):
-                t = env.timeout(1.0)
-                seen.add(id(t))
-                yield t
-
-        env.process(proc(), name="t")
-        env.run()
-        # With only one timeout in flight, the free-list serves the
-        # same instance back every iteration after the first.
-        assert len(seen) <= 2
-
-    def test_completed_event_pool_reuses_instances(self):
-        env = Environment()
-        seen = set()
-
-        def proc():
-            for i in range(64):
-                ev = env.completed_event(i)
-                seen.add(id(ev))
-                assert (yield ev) == i
-
-        env.process(proc(), name="c")
-        env.run()
-        assert len(seen) <= 2
-
-    def test_store_fast_path_get_reuses_instances(self):
-        env = Environment()
-        store = Store(env)
-        seen = set()
-
-        def proc():
-            for i in range(64):
-                store.put_nowait(i)
-                ev = store.get()
-                seen.add(id(ev))
-                assert (yield ev) == i
-
-        env.process(proc(), name="s")
-        env.run()
-        assert len(seen) <= 2
-
     def test_recycled_timeout_values_are_reset(self):
         env = Environment()
         values = []
 
         def proc():
             values.append((yield env.timeout(1.0, value="first")))
-            # The recycled instance must not leak the previous value.
+            # A later timeout must not see the previous one's value.
             values.append((yield env.timeout(1.0)))
 
         env.process(proc(), name="v")
@@ -113,15 +66,15 @@ class TestObjectReuse:
 
         env.process(proc(), name="h")
         env.run()
-        # The held timeout kept its identity and value; the kernel only
-        # recycles events it exclusively owns (refcount-guarded).
+        # The held timeout keeps its value after it fired and after
+        # later timeouts were created and fired.
         assert held[0].value == "keep"
 
 
 class TestSteadyStateAllocation:
     def test_steady_state_loop_does_not_grow_sim_allocations(self):
         env = Environment()
-        # Warm the free-lists and any lazy caches first.
+        # Warm any lazy caches first.
         _steady_state_workload(env, 2_000)
         env.run()
 
@@ -136,11 +89,8 @@ class TestSteadyStateAllocation:
 
         growth = _sim_growth(snap1, snap2)
         # 20k rounds x (Timeout + completed event + defer + store get)
-        # would be ~80k event objects without pooling (> 5 MB).  Steady
-        # state must stay flat; allow a page of noise for caches.
+        # allocate ~80k event objects (> 5 MB) if any of them were
+        # retained.  Steady state must stay flat; allow a page of noise
+        # for caches.
         assert growth < 16_384, f"sim modules grew {growth} bytes"
 
-    def test_event_base_class_is_not_pooled(self):
-        # Only classes that opt in (_poolable) may be recycled: a plain
-        # Event can carry user state and must keep its identity.
-        assert Event._poolable is False

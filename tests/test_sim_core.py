@@ -11,6 +11,7 @@ from repro.sim import (
     Event,
     Interrupt,
     SimulationError,
+    Store,
 )
 
 
@@ -52,6 +53,17 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1)
+
+
+def test_negative_defer_rejected():
+    env = Environment()
+    env.run(until=10)
+    with pytest.raises(ValueError):
+        env.defer(-5, lambda: None)
+    # nothing was scheduled, so the clock cannot move backwards
+    assert env.peek() == float("inf")
+    env.run()
+    assert env.now == 10.0
 
 
 def test_events_fire_in_time_order():
@@ -276,6 +288,65 @@ def test_run_until_event():
 
     assert env.run(until=env.process(child())) == "done"
     assert env.now == 12.0
+
+
+def _stop_with_same_time_event_queued(env):
+    # The stop event fires while a same-time event is still queued:
+    # run() returns at once and leaves that event pending.
+    log = []
+    stop = env.timeout(5, value="stop")
+    env.timeout(5).callbacks.append(lambda _ev: log.append(env.now))
+    assert env.run(until=stop) == "stop"
+    assert env.now == 5.0
+    assert env.peek() == env.now
+    assert log == []
+    env.run()
+    assert log == [5.0]
+
+
+def _stop_on_put_admitted_without_heap_trip(env):
+    # A put on a full store is admitted synchronously by the get that
+    # frees a slot (no heap entry of its own): run() returns after the
+    # dispatch that admitted it, at the admitting time.
+    store = Store(env, capacity=1)
+    store.put_nowait("a")
+    put = store.put("b")
+
+    def consumer():
+        yield env.timeout(7)
+        assert (yield store.get()) == "a"
+        yield env.timeout(1)
+
+    env.process(consumer())
+    assert env.run(until=put) is None
+    assert put.processed
+    assert env.now == 7.0
+    assert list(store.items) == ["b"]
+    assert env.peek() == 8.0
+
+
+def _stop_event_fails(env):
+    # A failing stop event raises its exception at its fire time.
+    stop = env.event()
+
+    def failer():
+        yield env.timeout(3)
+        stop.fail(RuntimeError("boom"))
+
+    env.process(failer())
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=stop)
+    assert env.now == 3.0
+
+
+@pytest.mark.parametrize("case", [
+    _stop_with_same_time_event_queued,
+    _stop_on_put_admitted_without_heap_trip,
+    _stop_event_fails,
+], ids=["same_time_event_queued", "put_admitted_synchronously",
+        "stop_event_fails"])
+def test_run_until_event_stop_point(case):
+    case(Environment())
 
 
 def test_run_until_event_never_fires():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import LatencyStats, RateMeter, RngRegistry, TimeSeries, UtilizationTracker
-from repro.sim.monitor import summarize
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +153,6 @@ def test_utilization_tracker_fraction_capped():
     tracker = UtilizationTracker()
     tracker.add_useful(500.0)
     assert tracker.useful_fraction(100.0) == 1.0
-
-
-def test_summarize():
-    assert summarize([]) == {"mean": 0.0, "min": 0.0, "max": 0.0}
-    result = summarize([1.0, 2.0, 3.0])
-    assert result == {"mean": 2.0, "min": 1.0, "max": 3.0}
 
 
 # ---------------------------------------------------------------------------
