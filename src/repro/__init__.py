@@ -16,8 +16,17 @@ Quick start::
     plat.deploy(FunctionSpec("server", "demo"), "worker1")
     plat.deploy(FunctionSpec("client", "demo"), "worker0")
     plat.start()
+
+Importing ``repro`` itself loads only :mod:`repro.config` and the
+lazy-export helper, so ``import repro.sim`` loads the kernel and
+nothing else of the data plane.  The other exports load on first
+use: ``Environment`` loads :mod:`repro.sim`; ``ChainSpec``,
+``FunctionContext``, ``FunctionInstance``, ``FunctionSpec``,
+``Message``, ``ServerlessPlatform`` and ``Tenant`` load the data plane
+through :mod:`repro.platform`.
 """
 
+from ._lazy import lazy_exports
 from .config import (
     DEFAULT_COST_MODEL,
     MSEC,
@@ -28,16 +37,17 @@ from .config import (
     NodeSpec,
     cost_model_overrides,
 )
-from .platform import (
-    ChainSpec,
-    FunctionContext,
-    FunctionInstance,
-    FunctionSpec,
-    Message,
-    ServerlessPlatform,
-    Tenant,
-)
-from .sim import Environment
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "Environment": ".sim",
+    "ChainSpec": ".platform",
+    "FunctionContext": ".platform",
+    "FunctionInstance": ".platform",
+    "FunctionSpec": ".platform",
+    "Message": ".platform",
+    "ServerlessPlatform": ".platform",
+    "Tenant": ".platform",
+})
 
 __version__ = "1.0.0"
 

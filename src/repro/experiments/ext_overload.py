@@ -37,8 +37,7 @@ from ..ingress import FIngress, PalladiumIngress, TcpWorkerAdapter
 from ..platform import FunctionSpec, ServerlessPlatform, Tenant
 from ..qos import DROP_CODEL, DROP_TAIL, QueueBounds, qos_for_platform
 from ..sim import Environment
-from ..telemetry import (QuantileRule, RateRule, RatioRule, Selector, Slo,
-                         Telemetry)
+from ..telemetry import Telemetry
 from ..workloads import OpenLoopSource
 
 from .parallel import parallel_map
@@ -228,6 +227,9 @@ def attach_overload_monitor(telemetry, step_us: float = 1_000.0,
     recording rules (offered/delivered rates, windowed p99, shed
     ratio).  Returns the attached monitor.
     """
+    from ..telemetry.monitor import (QuantileRule, RateRule, RatioRule,
+                                     Selector, Slo)
+
     mon = telemetry.attach_monitor(step_us=step_us, arm_at_us=arm_at_us)
     for name, _, qos_class, _ in TENANTS:
         latency_obj, avail_obj = CLASS_OBJECTIVES[qos_class]

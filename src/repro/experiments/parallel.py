@@ -27,7 +27,6 @@ a point's returned dict.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -67,6 +66,8 @@ def parallel_map(fn: Callable, calls: Sequence[Call],
         jobs = default_jobs()
     if jobs <= 1 or len(calls) <= 1:
         return [fn(*args, **kwargs) for args, kwargs in calls]
+    import multiprocessing  # only pooled sweeps pay for importing it
+
     # fork (where available) shares the already-imported tree with the
     # workers; spawn re-imports it.  Point outputs do not depend on
     # inherited process state, so both start methods merge identically.

@@ -1,8 +1,7 @@
 """Serverless platform: functions, tenants, I/O library, coordinator, assembly."""
 
+from .._lazy import lazy_exports
 from .cluster import ServerlessPlatform, build_palladium_dne
-from .autoscaling import FunctionAutoscaler
-from .elasticity import ElasticPlatform, ServiceGroup
 from .coordinator import Coordinator
 from .function import FunctionContext, FunctionInstance, FunctionSpec, Message
 from .iolib import (
@@ -13,6 +12,13 @@ from .iolib import (
     SendError,
 )
 from .tenant import ChainSpec, Tenant
+
+#: the autoscaler and the elastic platform load on first use
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "FunctionAutoscaler": ".autoscaling",
+    "ElasticPlatform": ".elasticity",
+    "ServiceGroup": ".elasticity",
+})
 
 __all__ = [
     "ChainSpec",

@@ -34,13 +34,24 @@ draws random numbers, so even *enabled* telemetry cannot perturb
 results (tested in ``tests/test_telemetry.py``).
 """
 
+from .._lazy import lazy_exports
 from .critpath import CriticalPathReport, analyze, dominant_shift
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .monitor import (BurnWindow, Monitor, QuantileRule, RateRule, RatioRule,
-                      Selector, Slo)
 from .profiler import CYCLE_CATEGORIES, CycleLedger
 from .runtime import Telemetry
 from .spans import Span, SpanTracer, validate_chrome_trace
+
+#: the monitor layer loads on first use (``tel.attach_monitor()`` or
+#: one of these names)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "BurnWindow": ".monitor",
+    "Monitor": ".monitor",
+    "QuantileRule": ".monitor",
+    "RateRule": ".monitor",
+    "RatioRule": ".monitor",
+    "Selector": ".monitor",
+    "Slo": ".monitor",
+})
 
 __all__ = [
     "CYCLE_CATEGORIES",

@@ -1,5 +1,6 @@
 """Workloads: load generators, echo pairs, Online Boutique, tenant traces."""
 
+from .._lazy import lazy_exports
 from .boutique import (
     BOUTIQUE_CHAINS,
     BOUTIQUE_FUNCTIONS,
@@ -11,17 +12,23 @@ from .boutique import (
     deploy_boutique,
     path_payload,
 )
-from .aggregate import (
-    ClientClass,
-    FlowAggregateModel,
-    FlowBucket,
-    build_buckets,
-    weighted_percentile,
-)
-from .diurnal import RateSchedule, ScheduledSource, diurnal_schedule
 from .echo import ECHO_TENANT, deploy_echo_pair, deploy_http_echo
 from .generator import ClientFleet, ClosedLoopClient, DirectDriver, OpenLoopSource
-from .traces import TenantTrace, fig15_traces
+
+#: the fluid aggregate model, diurnal schedules and tenant traces load
+#: on first use
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "ClientClass": ".aggregate",
+    "FlowAggregateModel": ".aggregate",
+    "FlowBucket": ".aggregate",
+    "build_buckets": ".aggregate",
+    "weighted_percentile": ".aggregate",
+    "RateSchedule": ".diurnal",
+    "ScheduledSource": ".diurnal",
+    "diurnal_schedule": ".diurnal",
+    "TenantTrace": ".traces",
+    "fig15_traces": ".traces",
+})
 
 __all__ = [
     "BOUTIQUE_CHAINS",

@@ -16,6 +16,12 @@ a mix, attack the top subsystem, re-run the byte-identity gates, then
 re-profile.  Profiling inflates wall-clock roughly 3-4x, so compare
 profiled runs only with profiled runs.
 
+``--imports MODULE`` prices start-up instead: it runs ``python -X
+importtime -c "import MODULE"`` in a fresh process and rolls each
+module's import self-time up by layer, with the buckets of
+``simbench/layers.py`` (docs/PERFORMANCE.md, "Start-up cost").  Run it
+with ``PYTHONDONTWRITEBYTECODE=1`` to include compiling the sources.
+
 Usage::
 
     PYTHONPATH=src python tools/profile_kernel.py fig12
@@ -24,6 +30,8 @@ Usage::
     PYTHONPATH=src python tools/profile_kernel.py ovl --sort cumtime
     PYTHONPATH=src python tools/profile_kernel.py \
         -m repro.experiments:run_fig12
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python tools/profile_kernel.py \
+        --imports repro.experiments.fig16_boutique
 """
 
 from __future__ import annotations
@@ -31,7 +39,9 @@ from __future__ import annotations
 import argparse
 import cProfile
 import importlib
+import os
 import pstats
+import subprocess
 import sys
 from collections import defaultdict
 
@@ -54,10 +64,8 @@ WORKLOADS = {
             ("palladium-dne", 2.0), {"duration_us": 60_000.0}),
 }
 
-#: repo packages rolled up as subsystems (first match wins)
-SUBSYSTEMS = ("sim", "rdma", "platform", "ingress", "dne", "hw",
-              "memory", "net", "dataplane", "workloads", "experiments",
-              "telemetry")
+SIMBENCH_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "simbench")
 
 
 def _subsystem(filename: str) -> str:
@@ -67,8 +75,6 @@ def _subsystem(filename: str) -> str:
         head = tail.split("/", 1)[0]
         if head.endswith(".py"):
             return "repro (top-level)"
-        if head in SUBSYSTEMS:
-            return head
         return head
     if filename.startswith("<") or filename.startswith("~"):
         return "builtins"
@@ -82,6 +88,58 @@ def rollup(stats: pstats.Stats) -> dict:
             in stats.stats.items():  # type: ignore[attr-defined]
         buckets[_subsystem(filename)] += tottime
     return dict(buckets)
+
+
+def import_rollup(module: str) -> int:
+    """Print the per-layer import self-time of ``import module``."""
+    sys.path.insert(0, SIMBENCH_DIR)
+    import layers
+
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", f"import {module}"],
+        capture_output=True, text=True)
+    prefix = "import time:"
+    lines = proc.stderr.splitlines()
+    if proc.returncode != 0:
+        for line in lines:
+            if not line.startswith(prefix):
+                print(line, file=sys.stderr)
+        return proc.returncode
+    self_us = {bucket: 0 for bucket in layers.BUCKETS}
+    count = {bucket: 0 for bucket in layers.BUCKETS}
+    for line in lines:
+        if not line.startswith(prefix):
+            continue
+        self_col, _cumulative, name = line[len(prefix):].split("|")
+        if not self_col.strip().isdigit():
+            continue  # the header row
+        name = name.strip()
+        if name in sys.builtin_module_names:
+            bucket = "builtins"
+        elif name == "repro" or name.startswith("repro."):
+            # a stand-in filename for the module's frames
+            head = name.split(".")[1] if "." in name else "__init__"
+            path = layers.REPRO_DIR + head
+            bucket = layers.layer_of(
+                path + (os.sep if os.path.isdir(path) else ".py"))
+        else:
+            bucket = "other"
+        self_us[bucket] += int(self_col)
+        count[bucket] += 1
+    total = sum(self_us.values())
+    print(f"== import {module}: self-time by layer "
+          f"(PYTHONDONTWRITEBYTECODE="
+          f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '')}) ==")
+    print(f"  {'layer':<11}  {'modules':>7}  {'self':>9}  share")
+    for bucket in sorted(self_us, key=lambda b: -self_us[b]):
+        if count[bucket]:
+            print(f"  {bucket:<11}  {count[bucket]:7d}  "
+                  f"{self_us[bucket] / 1e3:7.1f}ms  "
+                  f"{100.0 * self_us[bucket] / total:5.1f}%")
+    repro_modules = sum(count[b] for b in layers.LAYERS)
+    print(f"  {'total':<11}  {sum(count.values()):7d}  "
+          f"{total / 1e3:7.1f}ms  100.0%  ({repro_modules} repro modules)")
+    return 0
 
 
 def resolve(spec: str):
@@ -101,6 +159,10 @@ def main(argv=None) -> int:
     parser.add_argument("-m", "--module", metavar="MOD:FN",
                         help="profile a custom module:function instead "
                              "(called with no arguments)")
+    parser.add_argument("--imports", metavar="MODULE",
+                        help="roll up the import self-time of MODULE by "
+                             "layer in a fresh process, instead of "
+                             "profiling a workload")
     parser.add_argument("--top", type=int, default=25,
                         help="rows in the flat pstats table (default 25)")
     parser.add_argument("--sort", default="tottime",
@@ -108,6 +170,8 @@ def main(argv=None) -> int:
                         help="flat-table sort key (default tottime)")
     args = parser.parse_args(argv)
 
+    if args.imports:
+        return import_rollup(args.imports)
     if args.module:
         fn, fn_args, fn_kwargs = resolve(args.module), (), {}
         label = args.module
