@@ -2,7 +2,7 @@
 
 from .cpu import CoreKind, CorePool, PinnedCore
 from .dma import SocDmaEngine
-from .nic import rss_queue
+from .nic import flow_hash, rss_queue
 from .topology import Cluster, Link, Node, build_cluster
 
 __all__ = [
@@ -14,5 +14,6 @@ __all__ = [
     "PinnedCore",
     "SocDmaEngine",
     "build_cluster",
+    "flow_hash",
     "rss_queue",
 ]

@@ -10,16 +10,26 @@ from __future__ import annotations
 
 import hashlib
 
-__all__ = ["rss_queue"]
+__all__ = ["flow_hash", "rss_queue"]
+
+
+def flow_hash(flow_id: object) -> int:
+    """The 32-bit RSS hash of a flow identifier.
+
+    Deterministic (Toeplitz-like stable hashing) and uniform across
+    flows; a connection computes it once and reduces it modulo the
+    live queue count at each pick.
+    """
+    digest = hashlib.sha256(repr(flow_id).encode()).digest()
+    return int.from_bytes(digest[:4], "big")
 
 
 def rss_queue(flow_id: object, queues: int) -> int:
     """Map a flow identifier to one of ``queues`` RX queues.
 
-    Deterministic (Toeplitz-like stable hashing) so a connection always
-    lands on the same worker, and uniform across flows.
+    Stable, so a connection always lands on the same worker while the
+    queue count holds.
     """
     if queues < 1:
         raise ValueError("queues must be >= 1")
-    digest = hashlib.sha256(repr(flow_id).encode()).digest()
-    return int.from_bytes(digest[:4], "big") % queues
+    return flow_hash(flow_id) % queues

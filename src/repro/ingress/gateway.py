@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..config import CostModel
-from ..hw import rss_queue
+from ..hw import flow_hash
 from ..sim import Environment, Event, Store, TimeSeries
 
 __all__ = ["ClientConnection", "GatewayWorker", "Autoscaler", "GatewayStats"]
@@ -38,6 +38,8 @@ class ClientConnection:
 
     def __init__(self, env: Environment):
         self.conn_id = _next_conn_id(env)
+        #: RSS hash of the connection id, computed once (see rss_pick)
+        self.flow_hash = flow_hash(self.conn_id)
         self.env = env
         #: responses delivered back to the client
         self.inbox: Store = Store(env, name=f"conn{self.conn_id}")
@@ -150,8 +152,13 @@ class Autoscaler:
             worker.pause(self.cost.ingress_scale_event_pause_us)
 
 
-def rss_pick(workers: List[GatewayWorker], conn_id: int) -> GatewayWorker:
-    """RSS-style stable assignment of a connection to a worker."""
+def rss_pick(workers: List[GatewayWorker], flow: int) -> GatewayWorker:
+    """RSS-style stable assignment of a flow to a worker.
+
+    ``flow`` is a 32-bit flow hash (``ClientConnection.flow_hash``, or
+    :func:`~repro.hw.flow_hash` of another flow id); the pick equals
+    ``workers[rss_queue(flow_id, len(workers))]``.
+    """
     if not workers:
         raise RuntimeError("gateway has no active workers")
-    return workers[rss_queue(conn_id, len(workers))]
+    return workers[flow % len(workers)]

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..config import CostModel
 from ..dataplane import KIND_REQUEST, VIA_ENGINE, Message
 from ..dne.routing import InterNodeRoutes, RouteError
-from ..hw import Cluster
+from ..hw import Cluster, flow_hash
 from ..memory import MemoryPool, PoolExhausted
 from ..net import FStack, HttpProcessor, HttpRequest, HttpResponse
 from ..rdma import ConnectionManager, Opcode, RdmaFabric, WorkRequest
@@ -174,14 +174,14 @@ class PalladiumIngress:
         """Accept a new external TCP connection (handshake is charged
         lazily on the owning worker's first event)."""
         conn = ClientConnection(self.env)
-        worker = rss_pick(self.workers, conn.conn_id)
+        worker = rss_pick(self.workers, conn.flow_hash)
         worker.inbox.put(("handshake", conn))
         return conn
 
     def submit(self, conn: ClientConnection, request: HttpRequest) -> None:
         """A request frame arrived from the Ethernet side."""
         request.connection_id = conn.conn_id
-        worker = rss_pick(self.workers, conn.conn_id)
+        worker = rss_pick(self.workers, conn.flow_hash)
         worker.inbox.put(("request", (conn, request)))
         self.stats.accepted += 1
 
@@ -399,7 +399,7 @@ class PalladiumIngress:
                 (gw for gw in self.siblings if rid in gw._pending), self
             )
             entry = owner._pending.get(rid)
-            worker = entry[1] if entry else rss_pick(owner.workers, rid or 0)
+            worker = entry[1] if entry else rss_pick(owner.workers, flow_hash(rid or 0))
             worker.inbox.put(("response", completion))
         elif completion.opcode == Opcode.SEND and completion.buffer is not None:
             completion.buffer.pool.put(completion.buffer, self.AGENT)

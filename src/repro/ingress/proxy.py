@@ -127,7 +127,7 @@ class ProxyIngress:
     def connect(self) -> ClientConnection:
         conn = ClientConnection(self.env)
         if self.mode == self.FSTACK:
-            worker = rss_pick(self.workers, conn.conn_id)
+            worker = rss_pick(self.workers, conn.flow_hash)
             worker.inbox.put(("handshake", conn))
         else:
             self.env.process(self.stack.handshake(), name="ingress-hs")
@@ -143,7 +143,7 @@ class ProxyIngress:
                 "ingress.", labels=("tenant",)).labels(
                     self.resolver(request.path)[0]).inc()
         if self.mode == self.FSTACK:
-            worker = rss_pick(self.workers, conn.conn_id)
+            worker = rss_pick(self.workers, conn.flow_hash)
             worker.inbox.put(("request", (conn, request)))
         else:
             self.env.process(
@@ -219,7 +219,7 @@ class ProxyIngress:
             yield from self.stack.tx(response.wire_bytes)
             self._finish(conn, response, t0, tenant)
         else:
-            worker = rss_pick(self.workers, conn.conn_id)
+            worker = rss_pick(self.workers, conn.flow_hash)
             worker.inbox.put(("respond", (conn, response, t0, tenant)))
 
     def _finish(self, conn: ClientConnection, response: HttpResponse,

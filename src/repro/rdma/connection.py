@@ -25,6 +25,7 @@ exponential backoff under an optional per-tenant retry budget.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import CostModel
@@ -42,6 +43,12 @@ __all__ = ["ConnectionManager"]
 
 #: cold-connect timestamps kept per pool for the predictive policy
 _DEMAND_HISTORY = 64
+
+# Per-message pool scans compare ``qp.state`` directly rather than
+# calling the QueuePair properties.
+_ACTIVE = QPState.ACTIVE
+_ERROR = QPState.ERROR
+_pending_wrs = attrgetter("pending_wrs")
 
 
 class ConnectionManager:
@@ -145,11 +152,15 @@ class ConnectionManager:
 
     def _prune(self, key: Tuple[str, str]) -> List[QueuePair]:
         """Evict errored QPs from one pool; returns the live remainder."""
-        pool = self._pool.setdefault(key, [])
-        if any(qp.is_errored for qp in pool):
-            kept = [qp for qp in pool if not qp.is_errored]
-            self.evicted_qps += len(pool) - len(kept)
-            self._pool[key] = pool = kept
+        pool = self._pool.get(key)
+        if pool is None:
+            pool = self._pool[key] = []
+        for qp in pool:
+            if qp.state == _ERROR:
+                kept = [qp for qp in pool if qp.state != _ERROR]
+                self.evicted_qps += len(pool) - len(kept)
+                self._pool[key] = pool = kept
+                break
         return pool
 
     def _note_demand(self, key: Tuple[str, str]) -> None:
@@ -238,15 +249,15 @@ class ConnectionManager:
                 # pool clean for the next attempt.
                 return qp
             pool.append(qp)
-        active = [qp for qp in pool if qp.is_active]
+        active = [qp for qp in pool if qp.state == _ACTIVE]
         if active:
-            best = min(active, key=lambda qp: qp.pending_wrs)
+            best = min(active, key=_pending_wrs)
             # Activate another shadow QP when existing ones are congested.
             if best.pending_wrs > 8:
                 if not self._within_quota(tenant):
                     self.quota_denials += 1
                     return best  # multiplex: no more active QPs for you
-                inactive = [qp for qp in pool if not qp.is_active]
+                inactive = [qp for qp in pool if qp.state != _ACTIVE]
                 if inactive:
                     best = inactive[0]
                     yield from self._activate(best)
@@ -324,7 +335,7 @@ class ConnectionManager:
         rnic = self.fabric.rnic(self.node)
         for key in list(self._pool):
             for qp in self._prune(key):
-                if qp.is_active and qp.pending_wrs == 0:
+                if qp.state == _ACTIVE and qp.pending_wrs == 0:
                     qp.state = QPState.INACTIVE
                     rnic.active_qps -= 1
                     demoted += 1

@@ -19,25 +19,36 @@ The programming model:
   raises :class:`Interrupt` inside the generator.
 
 Determinism: events scheduled for the same instant fire in FIFO order
-of scheduling (ties are broken by a monotonically increasing sequence
-number), so repeated runs with the same seed produce identical traces.
+of scheduling (urgent process starts and interrupts first), so
+repeated runs with the same seed produce identical traces.
 
-Fast path (see docs/PERFORMANCE.md): the ready queue is one flat
-binary heap (:mod:`heapq`) of plain ``(time, priority, eid, event)``
-tuples, ordered by ``(time, priority, eid)``; trigger sites push
-through the environment's bound ``_push`` (a :func:`heapq.heappush`
-partial).  :meth:`Environment.run` drains it in a single inlined loop
-that pops an entry and runs its callbacks directly rather than paying
-a ``step()`` + ``_run_callbacks()`` call per event.  A time bound
-stops the loop before the first later entry; an event bound is
-checked after each dispatch.  Every event has one lifecycle: it is
-allocated when created or scheduled, fires once, and is freed by
-reference counting like any other Python object.
+Ready queue (see docs/PERFORMANCE.md, "Kernel design"): the heap holds
+only the future.  A push for the current instant (``succeed``/``fail``,
+a process exit, a zero-delay ``timeout``/``defer``, any delay that
+rounds to ``now``) appends the bare event to a same-instant FIFO: the
+URGENT deque for process starts and interrupts, the NORMAL deque for
+everything else.  Only a push for a later time takes a sequence number
+(``eid``) and enters the :mod:`heapq` heap as a ``(time, eid, event)``
+tuple.  The run loop takes URGENT first, then NORMAL, then the heap;
+when the clock advances to T it moves every heap entry at exactly T,
+in heap order, onto the NORMAL deque.  That is the order of a single
+``(time, priority, eid)`` heap: entries at T were pushed before the
+clock reached T, so they precede every push made at T, and URGENT
+pushes are only ever made for the current instant.
+
+:meth:`Environment.run` drains the queues in one inlined loop that runs
+callbacks directly rather than paying a ``step()`` +
+``_run_callbacks()`` call per event.  A time bound stops the loop
+before the first later heap entry (both FIFOs are then empty); an
+event bound is checked after each dispatch.  Every event has one
+lifecycle: it is allocated when created or scheduled, fires once
+(``callbacks`` becomes ``None``: the event is *processed*), and is
+freed by reference counting like any other Python object.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -54,9 +65,12 @@ __all__ = [
 
 #: Normal event priority.  Lower values fire earlier at the same time.
 PRIORITY_NORMAL = 1
-#: Urgent priority, used internally so a process resumption scheduled by
-#: an event trigger happens before same-time normal events.
+#: Urgent priority, used internally so a process start or interrupt
+#: happens before same-time normal events.  Only ever scheduled for the
+#: current instant.
 PRIORITY_URGENT = 0
+
+_new = object.__new__
 
 
 class SimulationError(Exception):
@@ -84,15 +98,15 @@ class Event:
     waiting process unless the event is ``defused``.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_processed", "defused")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
+        #: callbacks to run when the event fires; None once processed
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        self._processed = False
         #: if True, an un-waited-for failure does not abort the run
         self.defused = False
 
@@ -105,7 +119,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once the event's callbacks have run."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -127,9 +141,7 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        env = self.env
-        env._eid += 1
-        env._push((env._now, PRIORITY_NORMAL, env._eid, self))
+        self.env._push_now(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -141,9 +153,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        env = self.env
-        env._eid += 1
-        env._push((env._now, PRIORITY_NORMAL, env._eid, self))
+        self.env._push_now(self)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -156,7 +166,6 @@ class Event:
     # -- internal ------------------------------------------------------------
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         assert callbacks is not None
         for callback in callbacks:
             callback(self)
@@ -169,70 +178,43 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
 
-    __slots__ = ("delay",)
+    :meth:`Environment.timeout` builds one in a single frame; this
+    constructor is the equivalent long form.
+    """
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self._triggered = True
-        self._processed = False
         self.defused = False
-        self.delay = delay
-        env._eid += 1
-        env._push((env._now + delay, PRIORITY_NORMAL, env._eid, self))
+        env._schedule(self, PRIORITY_NORMAL, delay)
 
 
 class _Deferred(Event):
     """Internal: a fire-and-forget callback (``Environment.defer``).
 
-    Never escapes the kernel (``defer()`` returns ``None``).  It is
-    scheduled with ``callbacks = None``; the run loop dispatches such
-    heap entries through :meth:`_run_callbacks`, which calls the
-    callback held in a dedicated slot (no closure, no callbacks list).
+    Never escapes the kernel (``defer()`` returns ``None``), so only
+    two slots are ever set: ``callbacks = None`` marks it for the run
+    loop, which calls the callback held in ``fn`` (no closure, no
+    callbacks list).
     """
 
     __slots__ = ("fn",)
 
-    def __init__(self, env: "Environment", delay: float, fn: Callable[[], None]):
-        if delay < 0:
-            raise ValueError(f"negative defer delay: {delay}")
-        self.env = env
-        self.callbacks = None
-        self._value = None
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        self.defused = False
-        self.fn = fn
-        env._eid += 1
-        env._push((env._now + delay, PRIORITY_NORMAL, env._eid, self))
-
     def _run_callbacks(self) -> None:
-        self._processed = True
         self.fn()
 
 
 class Initialize(Event):
-    """Internal: kicks off a newly created process."""
+    """Internal: kicks off a newly created process (URGENT)."""
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process"):
-        self.env = env
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        self.defused = False
-        env._eid += 1
-        env._push((env._now, PRIORITY_URGENT, env._eid, self))
 
 
 class Process(Event):
@@ -242,7 +224,7 @@ class Process(Event):
     the generator raises, the process-event fails with that exception.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "_resume_cb", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -252,13 +234,18 @@ class Process(Event):
         self._value = None
         self._ok = True
         self._triggered = False
-        self._processed = False
         self.defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         #: event this process is currently waiting on
         self._target: Optional[Event] = None
-        Initialize(env, self)
+        #: the bound resume callback, built once; cleared on termination
+        #: so the process does not outlive itself in a reference cycle
+        self._resume_cb = self._resume
+        init = Initialize(env)
+        init.callbacks.append(self._resume_cb)
+        init._triggered = True
+        env._push_urgent(init)
 
     @property
     def is_alive(self) -> bool:
@@ -279,10 +266,11 @@ class Process(Event):
         # Detach from the current target so its eventual firing is ignored,
         # and resume immediately with the interrupt.
         target = self._target
-        if target.callbacks is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
+        resume = self._resume_cb
+        if target.callbacks is not None and resume in target.callbacks:
+            target.callbacks.remove(resume)
         self._target = None
-        event.callbacks = [self._resume]
+        event.callbacks = [resume]
         self.env._schedule(event, PRIORITY_URGENT, 0.0)
 
     # -- internal ------------------------------------------------------------
@@ -300,41 +288,40 @@ class Process(Event):
                     event.defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as exc:
-                self._target = None
+                self._target = self._resume_cb = None
                 env._active_process = None
                 self._ok = True
                 self._value = exc.value
                 self._triggered = True
-                env._eid += 1
-                env._push((env._now, PRIORITY_NORMAL, env._eid, self))
+                env._push_now(self)
                 return
             except BaseException as exc:
-                self._target = None
+                self._target = self._resume_cb = None
                 env._active_process = None
                 self._ok = False
                 self._value = exc
                 self._triggered = True
-                env._eid += 1
-                env._push((env._now, PRIORITY_NORMAL, env._eid, self))
+                env._push_now(self)
                 return
 
-            if not isinstance(next_event, Event):
-                exc = SimulationError(
-                    f"process {self.name!r} yielded a non-event: {next_event!r}"
-                )
+            try:
+                if next_event.env is not env:
+                    raise SimulationError(
+                        "cannot wait on an event from another environment")
+                callbacks = next_event.callbacks
+            except AttributeError:
+                # Not an event: deliver the error into the generator.
                 event = Event(env)
                 event._ok = False
-                event._value = exc
+                event._value = SimulationError(
+                    f"process {self.name!r} yielded a non-event: {next_event!r}"
+                )
                 event._triggered = True
                 continue
 
-            if next_event.env is not env:
-                raise SimulationError("cannot wait on an event from another environment")
-
-            callbacks = next_event.callbacks
             if callbacks is not None:
                 # Not yet processed: register and suspend.
-                callbacks.append(self._resume)
+                callbacks.append(self._resume_cb)
                 self._target = next_event
                 break
             # Already processed: loop and deliver its outcome synchronously.
@@ -412,7 +399,7 @@ class Condition(Event):
             self.fail(event._value)
         elif self._satisfied():
             self.succeed(ConditionValue(
-                [e for e in self._events if e._processed and e._ok]
+                [e for e in self._events if e.callbacks is None and e._ok]
             ))
 
 
@@ -437,17 +424,22 @@ class AllOf(Condition):
 class Environment:
     """The simulation environment: clock, ready queue, and run loop.
 
-    The ready queue is a flat binary heap of ``(time, priority, eid,
-    event)`` tuples; see the module docstring.
+    The ready queue is two same-instant FIFOs (URGENT, NORMAL) of bare
+    events plus a heap of ``(time, eid, event)`` tuples for later
+    times; see the module docstring.
     """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: List[Any] = []
-        #: bound push for trigger sites; one partial beats an attribute
-        #: walk + global lookup at every push site
-        self._push: Callable[[tuple], None] = partial(heappush, self._queue)
+        #: events for later instants, as ``(time, eid, event)``
+        self._heap: List[Any] = []
         self._eid = 0
+        #: same-instant FIFOs: process starts/interrupts, then the rest
+        self._urgent: deque = deque()
+        self._instant: deque = deque()
+        #: bound appends for trigger sites (one attribute read per push)
+        self._push_urgent = self._urgent.append
+        self._push_now = self._instant.append
         self._active_process: Optional[Process] = None
         #: events popped and dispatched so far (native counter; the
         #: perf bench reads this instead of wrapping ``step()``)
@@ -486,7 +478,6 @@ class Environment:
         event._value = value
         event._ok = True
         event._triggered = True
-        event._processed = True
         event.defused = False
         return event
 
@@ -498,11 +489,39 @@ class Environment:
         callback rides in a dedicated slot of a kernel event, with no
         closure and no generator.
         """
-        _Deferred(self, delay, fn)
+        event = _new(_Deferred)
+        event.callbacks = None
+        event.fn = fn
+        now = self._now
+        when = now + delay
+        if when > now:
+            self._eid += 1
+            heappush(self._heap, (when, self._eid, event))
+        elif delay >= 0:
+            self._push_now(event)
+        else:
+            raise ValueError(f"negative defer delay: {delay}")
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` time units."""
-        return Timeout(self, delay, value)
+        # Inlined Timeout(self, delay, value): one frame per timeout.
+        event = _new(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event._triggered = True
+        event.defused = False
+        now = self._now
+        when = now + delay
+        if when > now:
+            self._eid += 1
+            heappush(self._heap, (when, self._eid, event))
+        elif delay >= 0:
+            self._push_now(event)
+        else:
+            raise ValueError(f"negative timeout delay: {delay}")
+        return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
@@ -518,19 +537,50 @@ class Environment:
 
     # -- scheduling / run loop ----------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        self._eid += 1
-        self._push((self._now + delay, priority, self._eid, event))
+        """Queue ``event`` to fire ``delay`` after now (the long form of
+        the inlined pushes in ``timeout``/``defer``/``succeed``)."""
+        if priority == PRIORITY_URGENT:
+            if delay:
+                raise SimulationError("urgent events fire at the current instant")
+            self._push_urgent(event)
+            return
+        now = self._now
+        when = now + delay
+        if when > now:
+            self._eid += 1
+            heappush(self._heap, (when, self._eid, event))
+        elif delay >= 0:
+            self._push_now(event)
+        else:
+            raise ValueError(f"negative timeout delay: {delay}")
+
+    def _advance(self) -> Event:
+        """Move the clock to the earliest heap entry; return that event
+        and move the rest of that instant's entries onto the NORMAL
+        FIFO, in heap order."""
+        heap = self._heap
+        when, _eid, event = heappop(heap)
+        self._now = when
+        while heap and heap[0][0] == when:
+            self._push_now(heappop(heap)[2])
+        return event
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        if self._urgent or self._instant:
+            return self._now
+        return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Process the single next event."""
-        if not self._queue:
+        if self._urgent:
+            event = self._urgent.popleft()
+        elif self._instant:
+            event = self._instant.popleft()
+        elif self._heap:
+            event = self._advance()
+        else:
             raise SimulationError("no more events")
-        when, _priority, _eid, event = heappop(self._queue)
-        self._now = when
         self.events_processed += 1
         event._run_callbacks()
 
@@ -547,7 +597,7 @@ class Environment:
             pass
         elif isinstance(until, Event):
             stop_event = until
-            if stop_event._processed:
+            if stop_event.callbacks is None:
                 if stop_event._ok:
                     return stop_event._value
                 raise stop_event._value
@@ -559,7 +609,7 @@ class Environment:
         self._run_heap(stop_time, stop_event)
 
         if stop_event is not None:
-            if not stop_event._processed:
+            if stop_event.callbacks is not None:
                 raise SimulationError(
                     "run() ran out of events before `until` event fired")
             if stop_event._ok:
@@ -571,24 +621,37 @@ class Environment:
         return None
 
     def _run_heap(self, stop_time: float, stop_event: Optional[Event]) -> None:
-        # Tight inlined loop: one heap pop + direct callback dispatch
-        # per event (the ``step()`` API remains for single-stepping).
-        # Almost every fired event has exactly one callback (a process
-        # resume), so that case skips the loop machinery entirely.
-        queue = self._queue
+        # Tight inlined loop: one FIFO pop (or, between instants, one
+        # heap pop) + direct callback dispatch per event (the ``step()``
+        # API remains for single-stepping).  Almost every fired event
+        # has exactly one callback (a process resume), so that case
+        # skips the loop machinery entirely.
+        urgent = self._urgent
+        instant = self._instant
+        heap = self._heap
+        pop_urgent = urgent.popleft
+        pop_instant = instant.popleft
+        push_now = instant.append
         pop = heappop
         processed = 0
         try:
-            while queue:
-                if queue[0][0] > stop_time:
+            while True:
+                if urgent:
+                    event = pop_urgent()
+                elif instant:
+                    event = pop_instant()
+                elif heap and heap[0][0] <= stop_time:
+                    # inlined _advance()
+                    when, _eid, event = pop(heap)
+                    self._now = when
+                    while heap and heap[0][0] == when:
+                        push_now(pop(heap)[2])
+                else:
                     break
-                when, _priority, _eid, event = pop(queue)
-                self._now = when
                 processed += 1
                 cbs = event.callbacks
                 if cbs is not None:
                     event.callbacks = None
-                    event._processed = True
                     if len(cbs) == 1:
                         cbs[0](event)
                     else:
@@ -597,10 +660,10 @@ class Environment:
                     if not event._ok and not event.defused:
                         raise event._value
                 else:
-                    # Only _Deferred entries are scheduled without a
-                    # callbacks list; dispatch via their override.
-                    event._run_callbacks()
-                if stop_event is not None and stop_event._processed:
+                    # Only _Deferred events are scheduled without a
+                    # callbacks list.
+                    event.fn()
+                if stop_event is not None and stop_event.callbacks is None:
                     return
         finally:
             self.events_processed += processed

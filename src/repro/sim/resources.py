@@ -138,14 +138,12 @@ class Resource:
             req.key = None
             req._ok = True
             req._triggered = True
-            req._processed = True
             req.callbacks = None
         else:
             self._seq += 1
             req.key = (priority, self._seq)
             req._ok = True
             req._triggered = False
-            req._processed = False
             req.callbacks = []
             queue = self.queue
             queue.append(req)
@@ -246,7 +244,6 @@ class Store:
                 # Fast path: nobody is watching this put event.
                 event._ok = True
                 event._triggered = True
-                event._processed = True
                 event.callbacks = None
         if self._getters:
             self._dispatch()

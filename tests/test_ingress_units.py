@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import CostModel
+from repro.hw import flow_hash, rss_queue
 from repro.ingress import ClientConnection, GatewayStats, TcpWorkerAdapter
 from repro.ingress.gateway import GatewayWorker, rss_pick
 from repro.net import HttpRequest
@@ -100,7 +101,23 @@ def test_rss_pick_stable_per_connection():
             useful = 0.0
 
     workers = [GatewayWorker(env, i, _Core()) for i in range(4)]
-    assert rss_pick(workers, 7) is rss_pick(workers, 7)
+    conn = ClientConnection(env)
+    assert rss_pick(workers, conn.flow_hash) is rss_pick(workers,
+                                                          conn.flow_hash)
+
+
+def test_rss_pick_on_cached_flow_hash_equals_rss_queue():
+    # The connection hashes its id once; reducing that hash modulo the
+    # live worker count must pick what rss_queue(conn_id, n) picks.
+    env = Environment()
+    conns = [ClientConnection(env) for _ in range(200)]
+    for n in range(1, 17):
+        workers = list(range(n))
+        for conn in conns:
+            assert rss_pick(workers, conn.flow_hash) == \
+                rss_queue(conn.conn_id, n)
+    for rid in (0, 1, 12345, 2**40):
+        assert rss_pick(list(range(7)), flow_hash(rid)) == rss_queue(rid, 7)
 
 
 def test_worker_pause_extends_not_shrinks():

@@ -10,6 +10,7 @@ retains no memory in the sim modules after a collection.
 
 import gc
 import tracemalloc
+import weakref
 
 from repro.sim import Environment, Store
 from repro.sim import core as sim_core
@@ -69,6 +70,31 @@ class TestObjectReuse:
         # The held timeout keeps its value after it fired and after
         # later timeouts were created and fired.
         assert held[0].value == "keep"
+
+
+class TestProcessLifetime:
+    def test_terminated_process_is_freed_without_the_collector(self):
+        # A process caches its resume callback (a bound method: a
+        # reference cycle) while it runs; termination must break the
+        # cycle so reference counting alone frees the process.
+        class Result:
+            pass
+
+        env = Environment()
+
+        def proc():
+            yield env.timeout(1.0)
+            return Result()
+
+        process = env.process(proc(), name="p")
+        gc.disable()
+        try:
+            env.run()
+            result = weakref.ref(process.value)
+            del process
+            assert result() is None
+        finally:
+            gc.enable()
 
 
 class TestSteadyStateAllocation:

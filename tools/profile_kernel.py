@@ -16,6 +16,15 @@ a mix, attack the top subsystem, re-run the byte-identity gates, then
 re-profile.  Profiling inflates wall-clock roughly 3-4x, so compare
 profiled runs only with profiled runs.
 
+``--events MIX`` counts instead of timing: it runs the mix once and
+prints the kernel events dispatched per owner -- the module and
+qualname of the process generator an event resumes, or of the
+``defer``-red callback it runs -- rolled up by layer, plus the share
+of events that were scheduled for the instant they fired in (the
+same-instant FIFOs; the rest went through the heap).  The counts are
+deterministic, so two runs of a commit agree exactly and a change in
+them is a change in the event schedule.
+
 ``--imports MODULE`` prices start-up instead: it runs ``python -X
 importtime -c "import MODULE"`` in a fresh process and rolls each
 module's import self-time up by layer, with the buckets of
@@ -28,6 +37,7 @@ Usage::
     PYTHONPATH=src python tools/profile_kernel.py fig16 --top 40
     PYTHONPATH=src python tools/profile_kernel.py fig16-tel
     PYTHONPATH=src python tools/profile_kernel.py ovl --sort cumtime
+    PYTHONPATH=src python tools/profile_kernel.py --events fig16
     PYTHONPATH=src python tools/profile_kernel.py \
         -m repro.experiments:run_fig12
     PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python tools/profile_kernel.py \
@@ -142,6 +152,99 @@ def import_rollup(module: str) -> int:
     return 0
 
 
+def event_counts(fn, fn_args, fn_kwargs) -> dict:
+    """Run ``fn`` once, counting kernel dispatches by owner.
+
+    Wraps ``Process._resume`` (one call per event that resumes a
+    process) and the callbacks handed to ``Environment.defer``; every
+    other dispatch (condition checks, plain callbacks, exits nobody
+    waits on) counts as ``(kernel, other)``.
+    """
+    from repro.sim import core
+
+    counts: dict = defaultdict(int)
+    owners: dict = {}
+    envs: list = []
+    orig_init = core.Environment.__init__
+    orig_resume = core.Process._resume
+    orig_defer = core.Environment.defer
+
+    def init(self, *args, **kwargs):
+        orig_init(self, *args, **kwargs)
+        envs.append(self)
+
+    def resume(self, event):
+        code = self._generator.gi_code
+        owner = owners.get(code)
+        if owner is None:
+            frame = self._generator.gi_frame
+            module = frame.f_globals.get("__name__", "?") if frame else "?"
+            owner = owners[code] = (module, code.co_qualname)
+        counts[owner] += 1
+        orig_resume(self, event)
+
+    def defer(self, delay, callback):
+        target = getattr(callback, "func", callback)  # functools.partial
+        code = getattr(target, "__code__", None)
+        owner = ((target.__module__, code.co_qualname) if code is not None
+                 else (type(target).__module__, type(target).__qualname__))
+
+        def run():
+            counts[owner] += 1
+            callback()
+
+        orig_defer(self, delay, run)
+
+    core.Environment.__init__ = init
+    core.Process._resume = resume
+    core.Environment.defer = defer
+    try:
+        fn(*fn_args, **fn_kwargs)
+    finally:
+        core.Environment.__init__ = orig_init
+        core.Process._resume = orig_resume
+        core.Environment.defer = orig_defer
+    total = sum(env.events_processed for env in envs)
+    # every heap push took an eid; those still queued never fired
+    from_heap = sum(env._eid - len(env._heap) for env in envs)
+    counts[("kernel", "other")] = total - sum(counts.values())
+    return {"counts": dict(counts), "events": total,
+            "same_instant": total - from_heap}
+
+
+def _module_layer(module: str) -> str:
+    """``repro.dne.engine`` -> ``dne``; the top-level modules count as
+    ``config`` (as in ``simbench/layers.py``); non-repro owners stay."""
+    parts = module.split(".")
+    if parts[0] != "repro":
+        return module
+    return parts[1] if len(parts) > 2 else "config"
+
+
+def print_event_counts(label: str, result: dict, top: int) -> None:
+    counts, total = result["counts"], result["events"]
+    print(f"== {label}: kernel events by owner (module, qualname) ==")
+    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    width = max(len(f"{m}:{q}") for (m, q), _n in rows[:top])
+    for (module, qualname), n in rows[:top]:
+        print(f"  {module + ':' + qualname:<{width}}  {n:9d}  "
+              f"{100.0 * n / total:5.1f}%")
+    if len(rows) > top:
+        rest = sum(n for _owner, n in rows[top:])
+        print(f"  {f'({len(rows) - top} more)':<{width}}  {rest:9d}  "
+              f"{100.0 * rest / total:5.1f}%")
+    layers: dict = defaultdict(int)
+    for (module, _qualname), n in counts.items():
+        layers[_module_layer(module)] += n
+    print(f"== {label}: kernel events by layer ==")
+    for layer, n in sorted(layers.items(), key=lambda kv: (-kv[1], kv[0])):
+        print(f"  {layer:<12}  {n:9d}  {100.0 * n / total:5.1f}%")
+    same = result["same_instant"]
+    print(f"  {'total':<12}  {total:9d}  100.0%")
+    print(f"  same-instant: {same} of {total} events "
+          f"({100.0 * same / total:.1f}%) skipped the heap")
+
+
 def resolve(spec: str):
     """``module:function`` -> callable."""
     module_name, _, fn_name = spec.partition(":")
@@ -163,6 +266,9 @@ def main(argv=None) -> int:
                         help="roll up the import self-time of MODULE by "
                              "layer in a fresh process, instead of "
                              "profiling a workload")
+    parser.add_argument("--events", metavar="MIX", choices=sorted(WORKLOADS),
+                        help="count kernel events by owner for MIX "
+                             "instead of profiling it")
     parser.add_argument("--top", type=int, default=25,
                         help="rows in the flat pstats table (default 25)")
     parser.add_argument("--sort", default="tottime",
@@ -172,6 +278,12 @@ def main(argv=None) -> int:
 
     if args.imports:
         return import_rollup(args.imports)
+    if args.events:
+        module_name, fn_name, fn_args, fn_kwargs = WORKLOADS[args.events]
+        fn = getattr(importlib.import_module(module_name), fn_name)
+        print_event_counts(args.events,
+                           event_counts(fn, fn_args, fn_kwargs), args.top)
+        return 0
     if args.module:
         fn, fn_args, fn_kwargs = resolve(args.module), (), {}
         label = args.module
